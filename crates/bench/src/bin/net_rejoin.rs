@@ -120,7 +120,9 @@ impl EventSink<Duration> for EventLines {
                 shard,
                 version,
                 replayed,
-            } => format!("EVENT catchup_complete shard={shard} version={version} replayed={replayed}"),
+            } => format!(
+                "EVENT catchup_complete shard={shard} version={version} replayed={replayed}"
+            ),
             Event::ProcessRestarted { shard, attempt } => {
                 format!("EVENT process_restarted shard={shard} attempt={attempt}")
             }
@@ -511,10 +513,8 @@ fn run_soak(push_target: u64) -> Outcome {
     let started = Instant::now();
     let soak_deadline = started + SOAK_BUDGET;
     let config = net_config();
-    let mut supervisor = Supervisor::new(
-        RestartPolicy::from_net(&config, SEED),
-        Arc::new(EventLines),
-    );
+    let mut supervisor =
+        Supervisor::new(RestartPolicy::from_net(&config, SEED), Arc::new(EventLines));
 
     let (mut sched, sched_addr) = SchedRole::spawn(&[
         "--role".to_string(),
@@ -555,10 +555,9 @@ fn run_soak(push_target: u64) -> Outcome {
         .collect();
 
     // The supervised kill/rejoin cycles. State: who serves, who is the
-    // armed warm backup, and the next fresh shard id.
+    // armed warm backup. Kill #k's replacement is fresh shard id k + 1.
     let mut primary = (primary_role, 0u64);
     let mut backup = (backup_role, 1u64, backup_addr);
-    let mut next_id = 2u64;
     let mut catchups = 0u32;
     let mut cycle_violations: Vec<String> = Vec::new();
 
@@ -594,8 +593,7 @@ fn run_soak(push_target: u64) -> Outcome {
 
         // ...and the supervisor's replacement process re-provisions
         // itself from the new primary over the wire.
-        let id = next_id;
-        next_id += 1;
+        let id = u64::from(kill) + 1;
         eprintln!(
             "[net_rejoin] restart attempt {attempt}: shard {id} joining via {new_primary_addr}"
         );

@@ -97,7 +97,10 @@ impl Supervisor {
     /// the replacement with, or `None` when the budget is exhausted (the
     /// supervisor never sleeps on a refusal).
     pub fn authorize_restart(&mut self, shard: u64) -> Option<u32> {
-        let delay = self.policy.backoff.jittered(self.restarts, self.policy.seed)?;
+        let delay = self
+            .policy
+            .backoff
+            .jittered(self.restarts, self.policy.seed)?;
         std::thread::sleep(delay);
         self.restarts += 1;
         self.sink.record(

@@ -302,6 +302,10 @@ impl FaultScript {
 
 /// FNV-1a over bytes — the same label-hashing idiom `RngStreams` uses,
 /// hand-rolled so the net crate stays free of a rand dependency.
+///
+/// Deliberately byte-wise, not the word-wise frame checksum
+/// ([`crate::frame::fnv1a`]): this hash seeds every connection's fault
+/// script, so changing it would reshuffle every recorded chaos scenario.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

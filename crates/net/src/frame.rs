@@ -7,21 +7,30 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "SSNF"
-//! 4       4     format (u32 LE, currently 1)
+//! 4       4     format (u32 LE, currently 2)
 //! 8       4     payload length (u32 LE)
-//! 12      8     FNV-1a checksum of the payload (u64 LE)
+//! 12      8     checksum of the payload (u64 LE): word-wise FNV-1a
 //! 20      n     payload: tag byte, then the variant's fields
 //! ```
+//!
+//! The checksum is [`fnv1a`], the function the checkpoint codec uses too
+//! (defined, with its detection argument, in `specsync_ps`). Format 2
+//! introduced it; format 1 hashed byte by byte, and a format-1 frame is
+//! refused as [`FrameError::UnsupportedFormat`].
 //!
 //! Integers are little-endian; floats are raw IEEE-754 bits (bit-exact
 //! round-trip, no text formatting); slices and strings are length-prefixed.
 //! Decoding demands an exact fit — trailing bytes are as fatal as missing
 //! ones — so any single flipped byte in a frame is rejected (magic, format,
 //! length and checksum cover the header; the checksum covers the payload).
+//!
+//! The codec touches each payload byte about once per stage: `encode_frame`
+//! writes the payload in place behind a header placeholder and then fills
+//! in the length and checksum, and f32 slices convert in one bulk pass each
+//! way (a `PullReply` decodes straight into its shared `Arc<[f32]>`).
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
 use specsync_ps::PushPayload;
 use specsync_simnet::WorkerId;
@@ -32,7 +41,7 @@ use crate::wire::{FailoverControl, WireMessage};
 /// Frame magic: `SSNF`, SpecSync Net Frame.
 pub const MAGIC: [u8; 4] = *b"SSNF";
 /// Current frame format version.
-pub const FORMAT: u32 = 1;
+pub const FORMAT: u32 = 2;
 /// Bytes before the payload: magic, format, length, checksum.
 pub const HEADER_LEN: usize = 20;
 /// Upper bound on a payload a peer may ask us to buffer (256 MiB — far
@@ -121,19 +130,8 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a over `bytes` — the same checksum the checkpoint codec uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// The frame checksum — the same function the checkpoint codec uses.
+pub use specsync_ps::fnv1a;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -145,9 +143,10 @@ fn put_f32(out: &mut Vec<u8>, v: f32) {
 
 fn put_f32_slice(out: &mut Vec<u8>, vs: &[f32]) {
     put_u64(out, vs.len() as u64);
-    out.reserve(vs.len() * 4);
-    for &v in vs {
-        put_f32(out, v);
+    let start = out.len();
+    out.resize(start + vs.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(vs) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -175,12 +174,21 @@ fn put_push_payload(out: &mut Vec<u8>, payload: &PushPayload) {
             out.push(PAYLOAD_SPARSE);
             put_u64(out, grad.dim() as u64);
             put_u64(out, grad.nnz() as u64);
+            out.reserve(grad.nnz() * 12);
             for (index, value) in grad.iter() {
                 put_u64(out, index as u64);
                 put_f32(out, value);
             }
         }
     }
+}
+
+fn put_relay_push(out: &mut Vec<u8>, seq: u64, worker: WorkerId, lr: f32, payload: &PushPayload) {
+    out.push(TAG_RELAY_PUSH);
+    put_u64(out, seq);
+    put_worker(out, worker);
+    put_f32(out, lr);
+    put_push_payload(out, payload);
 }
 
 fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
@@ -204,13 +212,7 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
             worker,
             lr,
             payload,
-        } => {
-            out.push(TAG_RELAY_PUSH);
-            put_u64(out, *seq);
-            put_worker(out, *worker);
-            put_f32(out, *lr);
-            put_push_payload(out, payload);
-        }
+        } => put_relay_push(out, *seq, *worker, *lr, payload),
         WireMessage::PushAck {
             version,
             pushes_by_worker,
@@ -326,19 +328,41 @@ fn encode_payload(msg: &WireMessage, out: &mut Vec<u8>) {
 /// `u32::MAX` would silently truncate the length field and corrupt the
 /// stream, so the sender refuses to put it on the wire at all.
 pub fn encode_frame(msg: &WireMessage) -> Result<Vec<u8>, FrameError> {
-    let mut payload = Vec::with_capacity(64);
-    encode_payload(msg, &mut payload);
-    if payload.len() > PAYLOAD_LIMIT {
-        return Err(FrameError::TooLarge {
-            len: payload.len() as u64,
-        });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    encode_with(|out| encode_payload(msg, out))
+}
+
+/// Encodes the frame of `WireMessage::RelayPush { seq, worker, lr,
+/// payload }` from a borrowed payload — byte-identical to
+/// [`encode_frame`] on that message, without first copying the gradient
+/// into an owned one.
+///
+/// # Errors
+///
+/// [`FrameError::TooLarge`], as for [`encode_frame`].
+pub fn encode_relay_push(
+    seq: u64,
+    worker: WorkerId,
+    lr: f32,
+    payload: &PushPayload,
+) -> Result<Vec<u8>, FrameError> {
+    encode_with(|out| put_relay_push(out, seq, worker, lr, payload))
+}
+
+/// One buffer per frame: the header with a zeroed length and checksum,
+/// the payload written in place behind it, then the two filled in.
+fn encode_with(payload: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 64);
     out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, FORMAT);
-    put_u32(&mut out, payload.len() as u32);
-    put_u64(&mut out, fnv1a(&payload));
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&FORMAT.to_le_bytes());
+    out.resize(HEADER_LEN, 0);
+    payload(&mut out);
+    let len = out.len() - HEADER_LEN;
+    if len > PAYLOAD_LIMIT {
+        return Err(FrameError::TooLarge { len: len as u64 });
+    }
+    let checksum = fnv1a(&out[HEADER_LEN..]);
+    out[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+    out[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
 
@@ -375,10 +399,7 @@ impl<'a> Reader<'a> {
     }
 
     fn f32(&mut self) -> Result<f32, FrameError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(f32::from_bits(u32::from_le_bytes(b)))
+        Ok(le_f32(self.take(4)?))
     }
 
     /// A length prefix, bounds-checked against `per_item` bytes of
@@ -393,13 +414,13 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn f32_slice(&mut self) -> Result<Vec<f32>, FrameError> {
+    /// A length-prefixed f32 slice, bounds-checked once and converted in
+    /// one pass straight into the caller's container (`Vec<f32>` or
+    /// `Arc<[f32]>`; both allocate once, at the exact size).
+    fn f32_slice<C: FromIterator<f32>>(&mut self) -> Result<C, FrameError> {
         let n = self.len_prefix(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
+        // `len_prefix` bounded `n * 4` by the remaining bytes.
+        Ok(self.take(n * 4)?.chunks_exact(4).map(le_f32).collect())
     }
 
     fn string(&mut self) -> Result<String, FrameError> {
@@ -436,6 +457,12 @@ impl<'a> Reader<'a> {
             Err(FrameError::Malformed("trailing bytes after payload"))
         }
     }
+}
+
+fn le_f32(bytes: &[u8]) -> f32 {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(bytes);
+    f32::from_bits(u32::from_le_bytes(b))
 }
 
 fn read_push_payload(r: &mut Reader<'_>) -> Result<PushPayload, FrameError> {
@@ -475,7 +502,7 @@ fn decode_payload(payload: &[u8]) -> Result<WireMessage, FrameError> {
         },
         TAG_PULL_REPLY => {
             let version = r.u64()?;
-            let params: Arc<[f32]> = Arc::from(r.f32_slice()?);
+            let params = r.f32_slice()?;
             WireMessage::PullReply { version, params }
         }
         TAG_PUSH => {
@@ -707,6 +734,7 @@ impl std::error::Error for FrameReadError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sample_frames() -> Vec<WireMessage> {
         let w = WorkerId::new(2);
@@ -798,6 +826,101 @@ mod tests {
             },
             WireMessage::Shutdown,
         ]
+    }
+
+    /// A frame around an arbitrary payload, with a valid header.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&FORMAT.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Every byte of one frame, the checksum cross-checked against an
+    /// independent implementation of the definition in `specsync_ps`.
+    #[test]
+    fn fixed_frame_bytes_are_pinned() {
+        let bytes = encode_frame(&WireMessage::PullReply {
+            version: 7,
+            params: Arc::from(vec![1.0f32, -0.0, f32::from_bits(1)].as_slice()),
+        })
+        .unwrap();
+        #[rustfmt::skip]
+        let want: [u8; 49] = [
+            b'S', b'S', b'N', b'F', 2, 0, 0, 0, 29, 0, 0, 0,
+            0x08, 0x69, 0xbf, 0x61, 0xa4, 0x18, 0x7f, 0xad,
+            TAG_PULL_REPLY, 7, 0, 0, 0, 0, 0, 0, 0,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00, 0x00,
+        ];
+        assert_eq!(bytes, want);
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        // Payload lengths 0..=96 cross the checksum's 32-byte block and
+        // tail boundaries. The checksum is verified before the payload is
+        // parsed, so a flipped payload bit is a checksum mismatch whatever
+        // the payload holds; a flipped header bit fails the magic, format,
+        // length or checksum check.
+        for len in 0..=96usize {
+            let payload: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(53) ^ 0x9e)
+                .collect();
+            let frame = raw_frame(&payload);
+            for i in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut corrupt = frame.clone();
+                    corrupt[i] ^= 1 << bit;
+                    let got = decode_frame(&corrupt);
+                    if i >= HEADER_LEN {
+                        assert_eq!(
+                            got,
+                            Err(FrameError::ChecksumMismatch),
+                            "payload length {len}, byte {i}, bit {bit}"
+                        );
+                    } else {
+                        assert!(got.is_err(), "payload length {len}, byte {i}, bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn format_one_frame_is_refused_by_version() {
+        let mut bytes = encode_frame(&WireMessage::Shutdown).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            decode_frame(&bytes),
+            Err(FrameError::UnsupportedFormat { found: 1 })
+        );
+        assert!(matches!(
+            read_frame(&mut io::Cursor::new(bytes)),
+            Err(FrameReadError::Frame(FrameError::UnsupportedFormat {
+                found: 1
+            }))
+        ));
+    }
+
+    #[test]
+    fn relay_push_encodes_identically_from_a_borrowed_payload() {
+        for msg in sample_frames() {
+            if let WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload,
+            } = &msg
+            {
+                assert_eq!(
+                    encode_relay_push(*seq, *worker, *lr, payload).unwrap(),
+                    encode_frame(&msg).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   same verbs.
 //!
 //! Pull serving is read-mostly: the host serializes each store version's
-//! `PullReply` frame **once** and shares the encoded bytes (`Arc<[u8]>`)
+//! `PullReply` frame **once** and shares the encoded bytes (`Arc<Vec<u8>>`)
 //! across every concurrent client until the next push bumps the version —
 //! the wire-side twin of [`ParameterStore`]'s `Arc<[f32]>` snapshot cache.
 //!
@@ -29,7 +29,7 @@ use specsync_simnet::WorkerId;
 use specsync_tensor::SparseGrad;
 
 use crate::error::NetError;
-use crate::frame::encode_frame;
+use crate::frame::{encode_frame, encode_relay_push};
 use crate::wire::{FailoverControl, WireMessage};
 
 /// Learning rate the frame path uses when no schedule is installed (the
@@ -67,7 +67,7 @@ pub struct ShardHost {
     epochs: u64,
     /// Encoded `PullReply` frame for `(version, bytes)` — rebuilt once
     /// per store version, shared across clients.
-    encoded: Option<(u64, Arc<[u8]>)>,
+    encoded: Option<(u64, Arc<Vec<u8>>)>,
 }
 
 impl fmt::Debug for ShardHost {
@@ -247,16 +247,36 @@ impl ShardHost {
         let WireMessage::Push { worker, payload } = frame else {
             return None;
         };
-        let lr = match &self.lr_fn {
-            Some(f) => f(self.epochs),
-            None => DEFAULT_FRAME_LR,
-        };
+        let (seq, lr) = self.relay_tag();
         Some(WireMessage::RelayPush {
-            seq: self.store.version() + 1,
+            seq,
             worker: *worker,
             lr,
             payload: payload.clone(),
         })
+    }
+
+    /// The encoded frame of [`tag_relay`](Self::tag_relay)'s message,
+    /// written straight from the borrowed push: the write-ahead relay
+    /// puts these bytes on the wire without copying the gradient first.
+    /// Returns `None` for any frame but a `Push`.
+    pub fn encode_relay(&self, frame: &WireMessage) -> Option<Result<Vec<u8>, NetError>> {
+        let WireMessage::Push { worker, payload } = frame else {
+            return None;
+        };
+        let (seq, lr) = self.relay_tag();
+        Some(encode_relay_push(seq, *worker, lr, payload).map_err(NetError::from))
+    }
+
+    /// The sequence number (the version the next push will produce) and
+    /// learning rate (the one this host will apply) a relayed push
+    /// carries.
+    fn relay_tag(&self) -> (u64, f32) {
+        let lr = match &self.lr_fn {
+            Some(f) => f(self.epochs),
+            None => DEFAULT_FRAME_LR,
+        };
+        (self.store.version() + 1, lr)
     }
 
     /// Replaces the wrapped store with one rebuilt from a rejoin snapshot
@@ -358,7 +378,10 @@ impl ShardHost {
     /// the shard is failing over; [`NetError::Frame`] when the model
     /// dimension exceeds the frame payload limit (deterministic on the
     /// first pull, at store-construction dimension — never mid-run).
-    pub fn encoded_pull_reply(&mut self, worker: WorkerId) -> Result<(Arc<[u8]>, u64), NetError> {
+    pub fn encoded_pull_reply(
+        &mut self,
+        worker: WorkerId,
+    ) -> Result<(Arc<Vec<u8>>, u64), NetError> {
         let grant = self.pull(worker)?;
         let version = grant.snapshot.version();
         if let Some((cached_version, bytes)) = &self.encoded {
@@ -366,11 +389,10 @@ impl ShardHost {
                 return Ok((Arc::clone(bytes), grant.staleness));
             }
         }
-        let frame = encode_frame(&WireMessage::PullReply {
+        let bytes = Arc::new(encode_frame(&WireMessage::PullReply {
             version,
             params: grant.snapshot.into_shared(),
-        })?;
-        let bytes: Arc<[u8]> = Arc::from(frame);
+        })?);
         self.encoded = Some((version, Arc::clone(&bytes)));
         Ok((bytes, grant.staleness))
     }

@@ -270,14 +270,18 @@ impl ShardServer {
                                 // redelivery without re-applying it.
                                 let tagged = {
                                     let locked = host.lock();
-                                    locked.tag_relay(&frame)
+                                    locked.encode_relay(&frame)
                                 };
-                                if let Some(relay_frame) = tagged {
+                                if let Some(relay_bytes) = tagged {
                                     // Write-ahead: the backup holds the push
                                     // before the primary applies it. A dead
                                     // relay degrades to unreplicated serving
                                     // rather than stalling the run.
-                                    if conn.exchange(&relay_frame).is_err() {
+                                    let relayed = relay_bytes.and_then(|bytes| {
+                                        conn.write_encoded(&bytes)?;
+                                        conn.recv()
+                                    });
+                                    if relayed.is_err() {
                                         relay = None;
                                     } else {
                                         counters.relayed.fetch_add(1, Ordering::Relaxed);
@@ -327,7 +331,9 @@ impl ShardServer {
                 |_| {},
             )?;
             let (version, replayed) = join_cluster(&mut conn, shard_id, &local_addr, &host)?;
-            counters.pushes_applied.fetch_add(replayed, Ordering::Relaxed);
+            counters
+                .pushes_applied
+                .fetch_add(replayed, Ordering::Relaxed);
             counters.absorbed.fetch_add(replayed, Ordering::Relaxed);
             joined = Some((version, replayed));
             // The same connection now carries the primary's write-ahead
@@ -901,6 +907,14 @@ struct Central<'a> {
     /// The shard a `Promote` is in flight to, until its `Promoted` reply
     /// lands (or its connection dies — either clears the latch).
     promotion_pending: Option<u64>,
+    /// Set when the advertised primary is detected dead (socket closed or
+    /// heartbeats silent) and cleared when a promotion lands. While set,
+    /// a backup that registers is promoted at once: a death detected
+    /// before any backup was armed must not be forgotten.
+    primary_lost: bool,
+    /// Connections that asked `QueryPrimary` before any primary had
+    /// registered; answered as soon as one does.
+    primary_waiters: Vec<usize>,
     timers: Vec<(VirtualTime, WorkerId)>,
     per_worker: Vec<u64>,
     epochs: u64,
@@ -979,6 +993,24 @@ impl Central<'_> {
         }
     }
 
+    /// Tells `conn` where the primary is. Returns `false` (nothing
+    /// written) while no primary has registered.
+    fn answer_query_primary(&mut self, conn: usize) -> bool {
+        let answer = self
+            .primary
+            .and_then(|id| self.shards.get(&id))
+            .map(|(_, _, addr)| addr.clone());
+        let Some(addr) = answer else {
+            return false;
+        };
+        let epoch = self.epoch;
+        self.write_to(
+            conn,
+            &WireMessage::Failover(FailoverControl::Primary { addr, epoch }),
+        );
+        true
+    }
+
     fn handle_frame(&mut self, conn: usize, frame: WireMessage) {
         let now = self.now_vt();
         // Bind an unidentified connection to the worker its first frame
@@ -1009,7 +1041,8 @@ impl Central<'_> {
                     self.last_shard_beat.insert(server, now);
                     if backup {
                         // A (re)joined warm backup is armed: the next
-                        // promotion can target it.
+                        // promotion can target it — this one, if the
+                        // primary is already gone.
                         self.sink.record(
                             self.clock.elapsed(),
                             &Event::BackupJoined {
@@ -1017,8 +1050,15 @@ impl Central<'_> {
                                 epoch: self.epoch,
                             },
                         );
+                        if self.primary_lost {
+                            self.initiate_promotion();
+                        }
                     } else {
                         self.primary = Some(server);
+                        self.primary_lost = false;
+                        for waiter in std::mem::take(&mut self.primary_waiters) {
+                            self.answer_query_primary(waiter);
+                        }
                     }
                 }
                 FailoverControl::Promoted {
@@ -1032,6 +1072,7 @@ impl Central<'_> {
                     self.primary = Some(server);
                     self.epoch += 1;
                     self.promotion_pending = None;
+                    self.primary_lost = false;
                     self.stats.promotions += 1;
                     self.sink.record(
                         self.clock.elapsed(),
@@ -1043,16 +1084,8 @@ impl Central<'_> {
                     );
                 }
                 FailoverControl::QueryPrimary => {
-                    let answer = self
-                        .primary
-                        .and_then(|id| self.shards.get(&id))
-                        .map(|(_, _, addr)| addr.clone());
-                    if let Some(addr) = answer {
-                        let epoch = self.epoch;
-                        self.write_to(
-                            conn,
-                            &WireMessage::Failover(FailoverControl::Primary { addr, epoch }),
-                        );
+                    if !self.answer_query_primary(conn) && !self.primary_waiters.contains(&conn) {
+                        self.primary_waiters.push(conn);
                     }
                 }
                 FailoverControl::BackupReady {
@@ -1171,6 +1204,7 @@ impl Central<'_> {
                     // connection). Its registration is kept so workers can
                     // still resolve *some* address until the successor's
                     // `Promoted` flips the advertised primary.
+                    self.primary_lost = true;
                     self.initiate_promotion();
                 } else if self.promotion_pending == Some(server) {
                     // The promotion target died between `Promote` and
@@ -1218,6 +1252,7 @@ impl Central<'_> {
             if let Some(&beat) = self.last_shard_beat.get(&primary) {
                 if now.saturating_since(beat) > timeout {
                     self.last_shard_beat.remove(&primary);
+                    self.primary_lost = true;
                     self.initiate_promotion();
                 }
             }
@@ -1287,6 +1322,8 @@ fn central_loop(
         primary: None,
         epoch: 0,
         promotion_pending: None,
+        primary_lost: false,
+        primary_waiters: Vec::new(),
         timers: Vec::new(),
         per_worker: vec![0; m],
         epochs: 0,
@@ -1334,6 +1371,7 @@ mod tests {
     use super::*;
     use crate::wire::MessageSizes;
     use specsync_ps::{ParameterStore, PushPayload, ReplicatedStore};
+    use specsync_telemetry::InMemorySink;
 
     fn shard(id: u64, dim: usize) -> ShardServer {
         let store = ParameterStore::new(vec![0.0; dim], 2);
@@ -1438,8 +1476,79 @@ mod tests {
         assert!(!bstats.serving);
     }
 
-    #[test]
-    fn scheduler_answers_query_primary_and_promotes_on_close() {
+    /// A scripted shard on the scheduler link. It registers, then
+    /// heartbeats at the interval and sends every frame through one
+    /// writer thread, as a real [`ShardServer`]'s link does — so
+    /// heartbeat silence never stands in for a crash the test did not
+    /// script.
+    struct FakeShard {
+        reader: FrameConn,
+        out: Sender<WireMessage>,
+        writer: std::thread::JoinHandle<()>,
+    }
+
+    impl FakeShard {
+        fn register(sched_addr: &str, server: u64, backup: bool) -> Self {
+            let conn = connect(sched_addr, &NetConfig::default());
+            let addr = conn.addr().to_string();
+            let stream = conn.into_stream();
+            let mut writer = stream.try_clone().unwrap();
+            let (out, out_rx) = unbounded::<WireMessage>();
+            out.send(WireMessage::Failover(FailoverControl::Register {
+                server,
+                backup,
+                addr: shard_addr(server),
+            }))
+            .unwrap();
+            let beat = WireMessage::Heartbeat {
+                worker: WorkerId::new(server as usize),
+            };
+            let writer = std::thread::spawn(move || loop {
+                let frame = match out_rx.recv_timeout(HEARTBEAT_INTERVAL) {
+                    Ok(frame) => frame,
+                    Err(RecvTimeoutError::Timeout) => beat.clone(),
+                    Err(RecvTimeoutError::Disconnected) => break,
+                };
+                if write_frame(&mut writer, &frame).is_err() {
+                    break;
+                }
+            });
+            FakeShard {
+                reader: FrameConn::from_chaos_stream(stream, addr),
+                out,
+                writer,
+            }
+        }
+
+        fn send(&self, frame: WireMessage) {
+            self.out.send(frame).unwrap();
+        }
+
+        fn recv(&mut self) -> WireMessage {
+            self.reader.recv().unwrap().0
+        }
+
+        /// Crashes the shard: heartbeats stop and the connection closes.
+        fn kill(self) {
+            drop(self.out);
+            self.writer.join().unwrap();
+        }
+    }
+
+    const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
+
+    fn shard_addr(server: u64) -> String {
+        format!("127.0.0.1:{}", 7000 + server)
+    }
+
+    /// A one-worker scheduler with a 100 ms heartbeat timeout that stops
+    /// after one notified push, recording its events.
+    fn scheduler() -> (
+        String,
+        Arc<InMemorySink<Duration>>,
+        std::thread::JoinHandle<SchedulerRunStats>,
+    ) {
+        let sink = Arc::new(InMemorySink::new());
         let sched = SchedulerServer::bind(
             "127.0.0.1:0",
             SchedulerConfig {
@@ -1447,100 +1556,133 @@ mod tests {
                 stop_after_pushes: Some(1),
                 max_duration: Duration::from_secs(20),
                 net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
+                    .heartbeat_interval(HEARTBEAT_INTERVAL)
                     .heartbeat_timeout(Duration::from_millis(100))
                     .try_build()
                     .unwrap(),
                 ..SchedulerConfig::default()
             },
         )
-        .unwrap();
-        let sched_addr = sched.local_addr().to_string();
+        .unwrap()
+        .with_sink(Arc::clone(&sink) as Arc<dyn EventSink<Duration>>);
+        let addr = sched.local_addr().to_string();
         let handle = std::thread::spawn(move || sched.run().unwrap());
-        let cfg = NetConfig::default();
+        (addr, sink, handle)
+    }
 
-        // A fake primary registers, then a fake backup.
-        let mut primary = connect(&sched_addr, &cfg);
-        primary
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 0,
-                backup: false,
-                addr: "127.0.0.1:7000".into(),
-            }))
-            .unwrap();
-        let mut backup = connect(&sched_addr, &cfg);
-        backup
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 1,
-                backup: true,
-                addr: "127.0.0.1:7001".into(),
-            }))
-            .unwrap();
-
-        // A worker asks where the primary is.
-        let mut worker = connect(&sched_addr, &cfg);
-        worker
-            .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
-            .unwrap();
-        let (answer, _) = worker.recv().unwrap();
-        assert_eq!(
-            answer,
-            WireMessage::Failover(FailoverControl::Primary {
-                addr: "127.0.0.1:7000".into(),
-                epoch: 0
-            })
-        );
-
-        // The primary dies: its connection closes, the scheduler sends
-        // Promote to the backup, the backup answers Promoted.
-        drop(primary);
-        let (promote, _) = backup.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 1 })
-        );
-        backup
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 1,
-                version: 42,
-                replayed: 5,
-            }))
-            .unwrap();
-
-        // The worker re-queries and sees the new primary at epoch 1.
-        // (Poll until the Promoted frame has been processed.)
+    /// Blocks until the scheduler has recorded an event matching `pred`.
+    /// Frames on different connections reach the central loop in no
+    /// fixed order, so a test that needs one processed first waits for
+    /// its event.
+    fn await_event(sink: &InMemorySink<Duration>, what: &str, pred: impl Fn(&Event) -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            worker
-                .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
-                .unwrap();
-            let (answer, _) = worker.recv().unwrap();
-            if answer
-                == WireMessage::Failover(FailoverControl::Primary {
-                    addr: "127.0.0.1:7001".into(),
-                    epoch: 1,
-                })
-            {
-                break;
-            }
+        while !sink.events().iter().any(|(_, e)| pred(e)) {
             assert!(
                 std::time::Instant::now() < deadline,
-                "promotion never landed"
+                "scheduler never recorded {what}"
             );
+            std::thread::sleep(Duration::from_millis(1));
         }
+    }
 
-        // Tear down: one notified push reaches the stop target, and the
-        // central loop broadcasts Shutdown and returns.
-        drop(backup);
-        drop(worker);
-        let mut closer = connect(&sched_addr, &cfg);
+    fn promoted(shard: u64) -> impl Fn(&Event) -> bool {
+        move |e| matches!(e, Event::ShardFailover { shard: s, .. } if *s == shard)
+    }
+
+    fn armed(shard: u64) -> impl Fn(&Event) -> bool {
+        move |e| matches!(e, Event::BackupJoined { shard: s, .. } if *s == shard)
+    }
+
+    /// Reaches the stop target with one notified push; the central loop
+    /// then broadcasts `Shutdown` and returns its stats.
+    fn finish(
+        sched_addr: &str,
+        handle: std::thread::JoinHandle<SchedulerRunStats>,
+    ) -> SchedulerRunStats {
+        let mut closer = connect(sched_addr, &NetConfig::default());
         closer
             .write(&WireMessage::Notify {
                 worker: WorkerId::new(0),
                 pushes: 1,
             })
             .unwrap();
-        let stats = handle.join().unwrap();
+        handle.join().unwrap()
+    }
+
+    fn query_primary(worker: &mut FrameConn) -> WireMessage {
+        worker
+            .write(&WireMessage::Failover(FailoverControl::QueryPrimary))
+            .unwrap();
+        worker.recv().unwrap().0
+    }
+
+    fn primary_at(server: u64, epoch: u64) -> WireMessage {
+        WireMessage::Failover(FailoverControl::Primary {
+            addr: shard_addr(server),
+            epoch,
+        })
+    }
+
+    fn promote(server: u64) -> WireMessage {
+        WireMessage::Failover(FailoverControl::Promote { server })
+    }
+
+    #[test]
+    fn scheduler_answers_query_primary_and_promotes_on_close() {
+        let (sched_addr, sink, handle) = scheduler();
+        let primary = FakeShard::register(&sched_addr, 0, false);
+        let mut backup = FakeShard::register(&sched_addr, 1, true);
+
+        // A worker asks where the primary is; a query that overtakes the
+        // primary's registration is answered once it lands.
+        let mut worker = connect(&sched_addr, &NetConfig::default());
+        assert_eq!(query_primary(&mut worker), primary_at(0, 0));
+
+        // The primary dies: its connection closes, the scheduler sends
+        // Promote to the backup (at once, or when the backup's own
+        // registration lands), the backup answers Promoted.
+        primary.kill();
+        assert_eq!(backup.recv(), promote(1));
+        backup.send(WireMessage::Failover(FailoverControl::Promoted {
+            server: 1,
+            version: 42,
+            replayed: 5,
+        }));
+
+        // The worker re-queries and sees the new primary at epoch 1.
+        await_event(&sink, "the promotion", promoted(1));
+        assert_eq!(query_primary(&mut worker), primary_at(1, 1));
+
+        backup.kill();
+        drop(worker);
+        let stats = finish(&sched_addr, handle);
+        assert_eq!(stats.promotions, 1);
+        assert!(stats.completed);
+    }
+
+    #[test]
+    fn primary_lost_before_any_backup_registers_is_not_forgotten() {
+        let (sched_addr, sink, handle) = scheduler();
+        let primary = FakeShard::register(&sched_addr, 0, false);
+        let mut worker = connect(&sched_addr, &NetConfig::default());
+        assert_eq!(query_primary(&mut worker), primary_at(0, 0));
+
+        // The primary dies with no warm backup armed: nothing to promote
+        // yet. A backup that registers afterwards is promoted at once.
+        primary.kill();
+        let mut backup = FakeShard::register(&sched_addr, 1, true);
+        assert_eq!(backup.recv(), promote(1));
+        backup.send(WireMessage::Failover(FailoverControl::Promoted {
+            server: 1,
+            version: 3,
+            replayed: 3,
+        }));
+        await_event(&sink, "the promotion", promoted(1));
+        assert_eq!(query_primary(&mut worker), primary_at(1, 1));
+
+        backup.kill();
+        drop(worker);
+        let stats = finish(&sched_addr, handle);
         assert_eq!(stats.promotions, 1);
         assert!(stats.completed);
     }
@@ -1554,7 +1696,10 @@ mod tests {
             store,
             ReplicatedStore::DEFAULT_JOURNAL_CAPACITY,
         ));
-        let pcfg = NetConfig::builder().join_chunk_bytes(16).try_build().unwrap();
+        let pcfg = NetConfig::builder()
+            .join_chunk_bytes(16)
+            .try_build()
+            .unwrap();
         let primary = ShardServer::bind(0, "127.0.0.1:0", host, pcfg).unwrap();
         let primary_addr = primary.local_addr().to_string();
         let primary_stop = primary.stop_handle();
@@ -1623,186 +1768,76 @@ mod tests {
 
     #[test]
     fn promotion_retargets_when_the_chosen_backup_dies_mid_promotion() {
-        let sched = SchedulerServer::bind(
-            "127.0.0.1:0",
-            SchedulerConfig {
-                workers: 1,
-                stop_after_pushes: Some(1),
-                max_duration: Duration::from_secs(20),
-                net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
-                    .heartbeat_timeout(Duration::from_millis(100))
-                    .try_build()
-                    .unwrap(),
-                ..SchedulerConfig::default()
-            },
-        )
-        .unwrap();
-        let sched_addr = sched.local_addr().to_string();
-        let handle = std::thread::spawn(move || sched.run().unwrap());
-        let cfg = NetConfig::default();
-
-        let mut primary = connect(&sched_addr, &cfg);
-        primary
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 0,
-                backup: false,
-                addr: "127.0.0.1:7000".into(),
-            }))
-            .unwrap();
-        let mut first = connect(&sched_addr, &cfg);
-        first
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 1,
-                backup: true,
-                addr: "127.0.0.1:7001".into(),
-            }))
-            .unwrap();
-        let mut second = connect(&sched_addr, &cfg);
-        second
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 2,
-                backup: true,
-                addr: "127.0.0.1:7002".into(),
-            }))
-            .unwrap();
-        // Let all three registrations land before the crash.
-        std::thread::sleep(Duration::from_millis(50));
+        let (sched_addr, sink, handle) = scheduler();
+        let primary = FakeShard::register(&sched_addr, 0, false);
+        let mut first = FakeShard::register(&sched_addr, 1, true);
+        let mut second = FakeShard::register(&sched_addr, 2, true);
+        // Both backups are armed before the crash.
+        await_event(&sink, "backup 1 armed", armed(1));
+        await_event(&sink, "backup 2 armed", armed(2));
 
         // The primary dies; the scheduler targets the first backup.
-        drop(primary);
-        let (promote, _) = first.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 1 })
-        );
+        primary.kill();
+        assert_eq!(first.recv(), promote(1));
 
         // The chosen backup dies *without* replying Promoted — exactly
         // the window that used to leave the pending latch stuck forever.
-        drop(first);
-        let (promote, _) = second.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 2 })
-        );
-        second
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 2,
-                version: 7,
-                replayed: 0,
-            }))
-            .unwrap();
-        drop(second);
+        first.kill();
+        assert_eq!(second.recv(), promote(2));
+        second.send(WireMessage::Failover(FailoverControl::Promoted {
+            server: 2,
+            version: 7,
+            replayed: 0,
+        }));
+        await_event(&sink, "the promotion", promoted(2));
+        second.kill();
 
-        let mut closer = connect(&sched_addr, &cfg);
-        closer
-            .write(&WireMessage::Notify {
-                worker: WorkerId::new(0),
-                pushes: 1,
-            })
-            .unwrap();
-        let stats = handle.join().unwrap();
+        let stats = finish(&sched_addr, handle);
         assert_eq!(stats.promotions, 1);
         assert!(stats.completed);
     }
 
     #[test]
     fn rejoined_backup_is_armed_for_the_next_promotion() {
-        let sched = SchedulerServer::bind(
-            "127.0.0.1:0",
-            SchedulerConfig {
-                workers: 1,
-                stop_after_pushes: Some(1),
-                max_duration: Duration::from_secs(20),
-                net: NetConfig::builder()
-                    .heartbeat_interval(Duration::from_millis(10))
-                    .heartbeat_timeout(Duration::from_millis(100))
-                    .try_build()
-                    .unwrap(),
-                ..SchedulerConfig::default()
-            },
-        )
-        .unwrap();
-        let sched_addr = sched.local_addr().to_string();
-        let handle = std::thread::spawn(move || sched.run().unwrap());
-        let cfg = NetConfig::default();
-
-        let mut primary = connect(&sched_addr, &cfg);
-        primary
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 0,
-                backup: false,
-                addr: "127.0.0.1:7000".into(),
-            }))
-            .unwrap();
-        let mut first = connect(&sched_addr, &cfg);
-        first
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 1,
-                backup: true,
-                addr: "127.0.0.1:7001".into(),
-            }))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        let (sched_addr, sink, handle) = scheduler();
+        let primary = FakeShard::register(&sched_addr, 0, false);
+        let mut first = FakeShard::register(&sched_addr, 1, true);
+        await_event(&sink, "backup 1 armed", armed(1));
 
         // First crash: the original backup takes over.
-        drop(primary);
-        let (promote, _) = first.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 1 })
-        );
-        first
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 1,
-                version: 5,
-                replayed: 5,
-            }))
-            .unwrap();
+        primary.kill();
+        assert_eq!(first.recv(), promote(1));
+        first.send(WireMessage::Failover(FailoverControl::Promoted {
+            server: 1,
+            version: 5,
+            replayed: 5,
+        }));
+        await_event(&sink, "the first promotion", promoted(1));
 
         // A re-provisioned shard registers as the new warm backup and
         // reports its catch-up, re-arming the scheduler.
-        let mut rejoiner = connect(&sched_addr, &cfg);
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::Register {
-                server: 2,
-                backup: true,
-                addr: "127.0.0.1:7002".into(),
-            }))
-            .unwrap();
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::BackupReady {
-                server: 2,
-                version: 5,
-                replayed: 0,
-            }))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        let mut rejoiner = FakeShard::register(&sched_addr, 2, true);
+        rejoiner.send(WireMessage::Failover(FailoverControl::BackupReady {
+            server: 2,
+            version: 5,
+            replayed: 0,
+        }));
+        await_event(&sink, "the rejoined backup's catch-up", |e| {
+            matches!(e, Event::CatchUpComplete { shard: 2, .. })
+        });
 
         // Second crash: the *rejoined* backup is promoted.
-        drop(first);
-        let (promote, _) = rejoiner.recv().unwrap();
-        assert_eq!(
-            promote,
-            WireMessage::Failover(FailoverControl::Promote { server: 2 })
-        );
-        rejoiner
-            .write(&WireMessage::Failover(FailoverControl::Promoted {
-                server: 2,
-                version: 9,
-                replayed: 4,
-            }))
-            .unwrap();
-        drop(rejoiner);
+        first.kill();
+        assert_eq!(rejoiner.recv(), promote(2));
+        rejoiner.send(WireMessage::Failover(FailoverControl::Promoted {
+            server: 2,
+            version: 9,
+            replayed: 4,
+        }));
+        await_event(&sink, "the second promotion", promoted(2));
+        rejoiner.kill();
 
-        let mut closer = connect(&sched_addr, &cfg);
-        closer
-            .write(&WireMessage::Notify {
-                worker: WorkerId::new(0),
-                pushes: 1,
-            })
-            .unwrap();
-        let stats = handle.join().unwrap();
+        let stats = finish(&sched_addr, handle);
         assert_eq!(stats.promotions, 2);
         assert!(stats.completed);
     }

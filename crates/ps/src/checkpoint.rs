@@ -10,17 +10,23 @@
 //! Wire format (all integers little-endian):
 //!
 //! ```text
-//! magic "SSCP" | format u32 | checksum u64 (FNV-1a over payload) | payload
+//! magic "SSCP" | format u32 | checksum u64 (word-wise FNV-1a over payload) | payload
 //! ```
+//!
+//! The checksum is [`fnv1a`](crate::fnv1a), the same function the wire
+//! frame uses. Format 2 introduced it (format 1 hashed byte by byte); a
+//! format-1 blob is refused as [`CheckpointError::UnsupportedFormat`].
 //!
 //! The payload is a fixed field order — no self-describing keys — because
 //! both ends are this module; the format version gates layout changes.
+
+use crate::checksum::fnv1a;
 
 /// Magic prefix identifying a SpecSync checkpoint blob.
 const MAGIC: [u8; 4] = *b"SSCP";
 
 /// Current codec format version.
-const FORMAT: u32 = 1;
+const FORMAT: u32 = 2;
 
 /// A malformed or corrupted checkpoint blob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,18 +227,6 @@ impl StoreCheckpoint {
     }
 }
 
-/// 64-bit FNV-1a over the payload. Hand-rolled: the workspace vendors no
-/// hashing crate and the checkpoint only needs corruption *detection*, not
-/// collision resistance.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -410,6 +404,51 @@ mod tests {
             Err(CheckpointError::UnsupportedFormat(_))
         ));
         assert_eq!(StoreCheckpoint::decode(&[]), Err(CheckpointError::BadMagic));
+    }
+
+    /// A blob around an arbitrary payload, with a valid header.
+    fn raw_blob(payload: &[u8]) -> Vec<u8> {
+        let mut blob = MAGIC.to_vec();
+        blob.extend_from_slice(&FORMAT.to_le_bytes());
+        blob.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        blob.extend_from_slice(payload);
+        blob
+    }
+
+    #[test]
+    fn every_payload_bit_flip_is_a_checksum_mismatch() {
+        // Payload lengths 0..=96 cross the checksum's 32-byte block and
+        // tail boundaries; the checksum is verified before any field is
+        // parsed, so the payload need not be a valid checkpoint.
+        for len in 0..=96usize {
+            let payload: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(29) ^ 0xc3)
+                .collect();
+            let blob = raw_blob(&payload);
+            for i in 16..blob.len() {
+                for bit in 0..8 {
+                    let mut bad = blob.clone();
+                    bad[i] ^= 1 << bit;
+                    assert!(
+                        matches!(
+                            StoreCheckpoint::decode(&bad),
+                            Err(CheckpointError::ChecksumMismatch { .. })
+                        ),
+                        "payload length {len}, byte {i}, bit {bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn format_one_blob_is_refused_by_version() {
+        let mut bytes = busy_store().snapshot_for_checkpoint().encode();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            StoreCheckpoint::decode(&bytes),
+            Err(CheckpointError::UnsupportedFormat(1))
+        );
     }
 
     #[test]

@@ -241,19 +241,21 @@ impl ReplicatedStore {
     }
 
     fn journal_push(&mut self, worker: WorkerId, payload: PushPayload, lr: f32) {
+        if self.journal.is_full() {
+            // Bounded lag: a full journal forces the backup to catch up
+            // synchronously before the push is accepted.
+            self.sync_backup();
+        }
+        // The entry moves in: `sync_backup` drained the journal, so the
+        // append cannot be refused and no retry copy is needed.
         let entry = JournalEntry {
             seq: self.primary.version() + 1,
             worker,
             payload,
             lr,
         };
-        if self.journal.try_append(entry.clone()).is_err() {
-            // Bounded lag: a full journal forces the backup to catch up
-            // synchronously before the push is accepted.
-            self.sync_backup();
-            self.journal
-                .try_append(entry)
-                .unwrap_or_else(|e| unreachable!("journal drained but still full: {e}"));
+        if let Err(e) = self.journal.try_append(entry) {
+            unreachable!("journal drained but still full: {e}");
         }
     }
 
@@ -576,9 +578,7 @@ mod tests {
         for entry in &tail {
             let version = match &entry.payload {
                 PushPayload::Dense(grad) => joiner.apply_push(entry.worker, grad, entry.lr),
-                PushPayload::Sparse(grad) => {
-                    joiner.apply_push_sparse(entry.worker, grad, entry.lr)
-                }
+                PushPayload::Sparse(grad) => joiner.apply_push_sparse(entry.worker, grad, entry.lr),
             };
             assert_eq!(version, entry.seq);
         }

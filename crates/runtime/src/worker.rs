@@ -107,8 +107,13 @@ impl WorkerHarness {
             let Some(params) = self.pull(transport) else {
                 break;
             };
-            // Discard any stale re-sync from a previous iteration.
-            while transport.poll_control().is_some() {}
+            // Discard any stale re-sync from a previous iteration, but
+            // obey a shutdown that arrived meanwhile.
+            while let Some(control) = transport.poll_control() {
+                if matches!(control, WireMessage::Shutdown) {
+                    break 'training;
+                }
+            }
 
             // Compute (abortable during the padded span).
             state(
@@ -259,5 +264,134 @@ impl WorkerHarness {
             );
         }
         Some(params)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+    use std::sync::atomic::AtomicU64;
+
+    use specsync_net::NetError;
+    use specsync_telemetry::NullSink;
+
+    use super::*;
+    use crate::clock::ManualClock;
+
+    /// A two-parameter model that counts its gradient computations.
+    struct CountingModel {
+        params: Vec<f32>,
+        gradients: Arc<AtomicU64>,
+    }
+
+    impl Model for CountingModel {
+        fn num_params(&self) -> usize {
+            self.params.len()
+        }
+
+        fn num_samples(&self) -> usize {
+            4
+        }
+
+        fn params(&self) -> &[f32] {
+            &self.params
+        }
+
+        fn set_params(&mut self, params: &[f32]) {
+            self.params.copy_from_slice(params);
+        }
+
+        fn loss(&self, _indices: &[usize]) -> f64 {
+            0.0
+        }
+
+        fn gradient(&self, _indices: &[usize], out: &mut [f32]) {
+            self.gradients.fetch_add(1, Ordering::SeqCst);
+            out.fill(0.5);
+        }
+    }
+
+    /// A shard and scheduler on a script: the n-th pull reply is followed
+    /// by the n-th scripted control frame (if any), and the shard link
+    /// dies once the script runs out.
+    struct ScriptedTransport {
+        after_pull: VecDeque<Option<WireMessage>>,
+        control: VecDeque<WireMessage>,
+    }
+
+    impl Transport for ScriptedTransport {
+        fn send(
+            &mut self,
+            to: Endpoint,
+            msg: WireMessage,
+        ) -> Result<Option<WireMessage>, NetError> {
+            match (to, msg) {
+                (Endpoint::Shard, WireMessage::Pull { .. }) => {
+                    let Some(control) = self.after_pull.pop_front() else {
+                        return Err(NetError::Disconnected);
+                    };
+                    self.control.extend(control);
+                    Ok(Some(WireMessage::PullReply {
+                        version: 0,
+                        params: Arc::from(vec![0.0f32; 2].as_slice()),
+                    }))
+                }
+                (Endpoint::Shard, WireMessage::Push { .. }) => Ok(Some(WireMessage::PushAck {
+                    version: 1,
+                    pushes_by_worker: 1,
+                })),
+                _ => Ok(None),
+            }
+        }
+
+        fn poll_control(&mut self) -> Option<WireMessage> {
+            self.control.pop_front()
+        }
+    }
+
+    /// Runs one worker against `after_pull`; returns what it did and how
+    /// many gradients it computed.
+    fn run_script(after_pull: Vec<Option<WireMessage>>) -> (WorkerOutcome, u64) {
+        let gradients = Arc::new(AtomicU64::new(0));
+        let harness = WorkerHarness {
+            worker: WorkerId::new(0),
+            model: Box::new(CountingModel {
+                params: vec![0.0; 2],
+                gradients: Arc::clone(&gradients),
+            }),
+            sampler: BatchSampler::new(4, 2, 7),
+            compute_pad: Duration::ZERO,
+            abort_poll: Duration::from_millis(1),
+            heartbeat_interval: Duration::from_secs(3600),
+            mute_after: None,
+            drop_notify_every: None,
+            clock: Arc::new(ManualClock::new()),
+            sink: Arc::new(NullSink),
+            run_start: Duration::ZERO,
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let mut transport = ScriptedTransport {
+            after_pull: after_pull.into(),
+            control: VecDeque::new(),
+        };
+        let outcome = harness.run(&mut transport);
+        (outcome, gradients.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn shutdown_right_after_a_pull_reply_ends_training() {
+        let (outcome, gradients) = run_script(vec![Some(WireMessage::Shutdown), None]);
+        assert_eq!(gradients, 0, "no gradient may follow a Shutdown");
+        assert_eq!(outcome.pushes, 0);
+    }
+
+    #[test]
+    fn stale_abort_after_a_pull_reply_is_discarded() {
+        let (outcome, gradients) = run_script(vec![Some(WireMessage::Abort {
+            worker: WorkerId::new(0),
+        })]);
+        assert_eq!(gradients, 1);
+        assert_eq!(outcome.pushes, 1);
+        assert_eq!(outcome.aborts, 0, "a stale abort is not honored");
     }
 }

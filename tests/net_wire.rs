@@ -1,13 +1,16 @@
 //! Property-based tests for the `specsync-net` frame codec: every
 //! [`WireMessage`] variant round-trips bit-exactly, every single-byte
 //! corruption of a frame is rejected, and a stream cut mid-frame is a
-//! truncation error rather than a bogus message or a silent close.
+//! truncation error rather than a bogus message or a silent close. The
+//! bulk f32 paths (dense `Push`, `RelayPush`, `PullReply`) carry every
+//! float bit pattern exactly.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use specsync::net::frame::encode_relay_push;
 use specsync::net::{
     decode_frame, encode_frame, read_frame, FrameError, FrameReadError, ReadOutcome,
 };
@@ -29,6 +32,75 @@ fn arb_f32() -> impl Strategy<Value = f32> {
 
 fn arb_params() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(arb_f32(), 0..48)
+}
+
+/// The float classes a careless bulk conversion would mangle: NaNs with
+/// payload bits (quiet and signaling, either sign), `-0.0`, subnormals,
+/// and infinities — mixed with arbitrary bit patterns.
+fn arb_special_f32() -> impl Strategy<Value = f32> {
+    let sign = |neg: bool| if neg { 0x8000_0000u32 } else { 0 };
+    prop_oneof![
+        (any::<bool>(), 1u32..0x0080_0000)
+            .prop_map(move |(neg, payload)| f32::from_bits(sign(neg) | 0x7f80_0000 | payload)),
+        Just(-0.0f32),
+        (any::<bool>(), 1u32..0x0080_0000)
+            .prop_map(move |(neg, mantissa)| f32::from_bits(sign(neg) | mantissa)),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+        arb_f32(),
+    ]
+}
+
+/// Long enough to cross several of the checksum's 32-byte blocks.
+fn arb_special_params() -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(arb_special_f32(), 0..300)
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The f32 slice a dense-carrying message holds, as raw bits.
+fn dense_bits(msg: &WireMessage) -> Option<Vec<u32>> {
+    match msg {
+        WireMessage::PullReply { params, .. } => Some(bits(params)),
+        WireMessage::Push {
+            payload: PushPayload::Dense(grad),
+            ..
+        }
+        | WireMessage::RelayPush {
+            payload: PushPayload::Dense(grad),
+            ..
+        } => Some(bits(grad)),
+        _ => None,
+    }
+}
+
+fn arb_dense_message() -> impl Strategy<Value = WireMessage> {
+    prop_oneof![
+        (any::<u64>(), arb_special_params()).prop_map(|(version, params)| {
+            WireMessage::PullReply {
+                version,
+                params: Arc::from(params.as_slice()),
+            }
+        }),
+        (arb_worker(), arb_special_params()).prop_map(|(worker, grad)| WireMessage::Push {
+            worker,
+            payload: PushPayload::Dense(grad),
+        }),
+        (
+            any::<u64>(),
+            arb_worker(),
+            arb_special_f32(),
+            arb_special_params()
+        )
+            .prop_map(|(seq, worker, lr, grad)| WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Dense(grad),
+            }),
+    ]
 }
 
 /// A valid sparse gradient: raw (index, value) pairs folded mod `dim`
@@ -98,6 +170,22 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
             worker,
             payload: PushPayload::Sparse(grad),
         }),
+        (any::<u64>(), arb_worker(), arb_f32(), arb_params()).prop_map(
+            |(seq, worker, lr, grad)| WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Dense(grad),
+            }
+        ),
+        (any::<u64>(), arb_worker(), arb_f32(), arb_sparse()).prop_map(
+            |(seq, worker, lr, grad)| WireMessage::RelayPush {
+                seq,
+                worker,
+                lr,
+                payload: PushPayload::Sparse(grad),
+            }
+        ),
         (any::<u64>(), any::<u64>()).prop_map(|(version, pushes_by_worker)| {
             WireMessage::PushAck {
                 version,
@@ -123,6 +211,26 @@ proptest! {
         let bytes = encode_frame(&msg).expect("sample messages fit a frame");
         let decoded = decode_frame(&bytes).expect("own encoding must decode");
         prop_assert_eq!(encode_frame(&decoded).expect("decoded re-encodes"), bytes);
+    }
+
+    /// The bulk f32 paths carry NaN payload bits, `-0.0`, subnormals and
+    /// infinities exactly, element for element; a relay frame encoded
+    /// from a borrowed payload is byte-identical to the owned encoding.
+    #[test]
+    fn dense_bulk_paths_are_bit_exact(msg in arb_dense_message()) {
+        let bytes = encode_frame(&msg).expect("sample messages fit a frame");
+        let decoded = decode_frame(&bytes).expect("own encoding must decode");
+        prop_assert_eq!(dense_bits(&decoded), dense_bits(&msg));
+        prop_assert!(dense_bits(&msg).is_some());
+        if let WireMessage::RelayPush { seq, worker, lr, payload } = &decoded {
+            prop_assert_eq!(lr.to_bits(), match &msg {
+                WireMessage::RelayPush { lr, .. } => lr.to_bits(),
+                _ => unreachable!("decoded the variant that was encoded"),
+            });
+            let borrowed = encode_relay_push(*seq, *worker, *lr, payload)
+                .expect("sample messages fit a frame");
+            prop_assert_eq!(borrowed, bytes);
+        }
     }
 
     /// Flipping any single byte of a frame makes it undecodable: the

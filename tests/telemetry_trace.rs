@@ -32,8 +32,10 @@ fn run_traced(scheme: SchemeKind, seed: u64) -> (Vec<u8>, RunReport) {
     (bytes, report)
 }
 
-/// FNV-1a over a byte slice — the same hash the wire codec uses for
-/// frame checksums, reused here to pin whole traces.
+/// Byte-wise FNV-1a over a byte slice, pinning whole traces. Deliberately
+/// not the wire codec's word-wise checksum (`specsync_ps::fnv1a`): the
+/// pinned hashes below were taken with this function and must not move
+/// when a codec's checksum does.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
